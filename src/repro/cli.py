@@ -8,7 +8,10 @@ Exposes the library's main workflows without writing Python::
     python -m repro stats     --dir circ_dir --name mychip
     python -m repro experiment table2 --profile quick
 
-All subcommands are deterministic under ``--seed``.
+All subcommands are deterministic under ``--seed``.  Exit codes: 0 on
+success, 1 when ``evaluate`` finds a violated constraint, 2 on bad input
+(usage errors, missing or malformed input files), which is reported as
+one ``repro: error: ...`` line on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +25,9 @@ from typing import Optional, Sequence
 from repro.core import bipartition_instance, constraint_profile
 from repro.core.instance import PartitioningInstance
 from repro.hypergraph import CircuitSpec, compute_stats, generate_circuit
+from repro.hypergraph.hypergraph import HypergraphError
 from repro.io import read_bookshelf, write_bookshelf, write_netd
+from repro.io.bookshelf import BookshelfFormatError
 from repro.partition import (
     FMConfig,
     block_loads,
@@ -545,8 +550,12 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
     return code
 
 
+_INPUT_ERRORS = (BookshelfFormatError, HypergraphError, observe.TraceFormatError)
+"""Errors that mean the user's input is bad, not that the program is."""
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code (see module doc)."""
     parser = build_parser()
     args = parser.parse_args(
         list(argv) if argv is not None else sys.argv[1:]
@@ -561,9 +570,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "trace": _cmd_trace,
     }
     handler = handlers[args.command]
-    if getattr(args, "trace", None) or getattr(args, "metrics_out", None):
-        return _run_observed(handler, args)
-    return handler(args)
+    try:
+        if getattr(args, "trace", None) or getattr(args, "metrics_out", None):
+            return _run_observed(handler, args)
+        return handler(args)
+    except FileNotFoundError as exc:
+        # Only a path the user typed is bad input; any other missing
+        # file is the program's fault and keeps its traceback.
+        named = {Path(v) for v in vars(args).values() if isinstance(v, str)}
+        if exc.filename is None or Path(exc.filename) not in named:
+            raise
+        message = f"no such file: {exc.filename}"
+    except _INPUT_ERRORS as exc:
+        message = str(exc)
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

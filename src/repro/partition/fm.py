@@ -24,24 +24,23 @@ Kernel layout
 
 The inner loop is a flat-array kernel.  The engine owns persistent
 :mod:`array`-module typed buffers -- per-side net pin counts
-(``_cnt0/_cnt1``), per-side pin-id sums (``_ids0/_ids1``), per-side
-unlocked-free-pin counts (``_uf0/_uf1``) and the per-vertex exact gains
-(``_gain``) -- plus one reusable :class:`GainBucket` per side.  The
-invariants:
+(``_cnt0/_cnt1``), per-side pin-id sums (``_ids0/_ids1``) and the
+per-vertex exact gains (``_gain``) -- plus one reusable
+:class:`GainBucket` per side.  The invariants:
 
-* Between passes, ``cnt``/``ids``/``uf`` and ``gain`` are exact with
-  respect to ``parts``.  A pass mutates them move by move and the
-  end-of-pass rollback restores them *incrementally* by replaying the
-  undone moves backwards with the same delta-gain formulas, so pass
-  setup is O(movable) bucket inserts instead of the historical
-  O(pins) count-and-gain rebuild.
+* Between passes, ``cnt``/``ids`` and ``gain`` are exact with respect to
+  ``parts``.  A pass mutates them move by move and the end-of-pass
+  rollback restores them *incrementally*, by flipping either the undone
+  suffix backwards or (from a pass-start snapshot) the kept prefix
+  forwards with the same delta-gain formulas, so pass setup is
+  O(movable) bucket inserts instead of the historical O(pins)
+  count-and-gain rebuild.
 * ``ids0[e]``/``ids1[e]`` hold the sum of pin ids of net ``e`` on each
   side; when a side's pin count is 1 the id sum *is* the unique pin, so
   the single-pin gain update is O(1) instead of a scan of ``epins[e]``.
-* ``uf0[e]``/``uf1[e]`` count net ``e``'s movable, not-yet-moved pins
-  per side; when both are zero a whole-net gain update can skip all
-  bucket bookkeeping (the locked pins only need their gain scalar kept
-  current for the next pass).
+* A whole-net gain update only happens when the net lies entirely on
+  one side, so every pin it touches sits in that side's bucket: the
+  bucket adjust needs no per-pin side test.
 
 The kernel preserves the *exact* move sequence of the straightforward
 implementation retained in :mod:`repro.partition.fm_reference`: same
@@ -244,20 +243,15 @@ class FMBipartitioner:
         # Persistent typed buffers.  _bind sizes them to the bound graph;
         # rebind() re-shapes them in place instead of reallocating, which
         # is what makes one engine serve a whole multilevel hierarchy.
-        self._zero_nets = array("q")
         self._cnt0 = array("q")
         self._cnt1 = array("q")
         self._ids0 = array("q")
         self._ids1 = array("q")
-        self._uf0 = array("q")
-        self._uf1 = array("q")
         self._gain = array("q")
         self._snap_cnt0 = array("q")
         self._snap_cnt1 = array("q")
         self._snap_ids0 = array("q")
         self._snap_ids1 = array("q")
-        self._snap_uf0 = array("q")
-        self._snap_uf1 = array("q")
         self._snap_gain = array("q")
         self._snap_parts: List[int] = []
         self._buckets: Optional[Tuple[GainBucket, GainBucket]] = None
@@ -337,17 +331,12 @@ class FMBipartitioner:
 
         # Kernel buffers, resized in place.  cnt/ids are fully rewritten
         # by _init_run_state and gain is set per movable vertex, so stale
-        # tails from a previous binding are never read; _zero_nets is the
-        # uf reset template and must stay all-zero, which _resize_zq's
-        # truncate/zero-extend preserves.
+        # tails from a previous binding are never read.
         num_nets = graph.num_nets
-        _resize_zq(self._zero_nets, num_nets)
         _resize_zq(self._cnt0, num_nets)
         _resize_zq(self._cnt1, num_nets)
         _resize_zq(self._ids0, num_nets)
         _resize_zq(self._ids1, num_nets)
-        _resize_zq(self._uf0, num_nets)
-        _resize_zq(self._uf1, num_nets)
         _resize_zq(self._gain, n)
 
         # Pass-start snapshots for the cheaper-direction restore: when a
@@ -358,8 +347,6 @@ class FMBipartitioner:
         _resize_zq(self._snap_cnt1, num_nets)
         _resize_zq(self._snap_ids0, num_nets)
         _resize_zq(self._snap_ids1, num_nets)
-        _resize_zq(self._snap_uf0, num_nets)
-        _resize_zq(self._snap_uf1, num_nets)
         _resize_zq(self._snap_gain, n)
         if len(self._snap_parts) != n:
             self._snap_parts = [0] * n
@@ -473,11 +460,11 @@ class FMBipartitioner:
 
     # ------------------------------------------------------------------
     def _init_run_state(self, parts: List[int]) -> None:
-        """Derive cnt/ids/uf/gain from ``parts`` (once per run).
+        """Derive cnt/ids/gain from ``parts`` (once per run).
 
         Subsequent passes keep these buffers exact incrementally: moves
-        update them forward, the rollback replays the undone moves
-        backwards, so no per-pass rebuild is needed.
+        update them forward and the rollback flips moves back, so no
+        per-pass rebuild is needed.
         """
         cnt0 = self._cnt0
         cnt1 = self._cnt1
@@ -501,10 +488,6 @@ class FMBipartitioner:
             ids0[e] = s0
             ids1[e] = s1
 
-        uf0 = self._uf0
-        uf1 = self._uf1
-        uf0[:] = self._zero_nets
-        uf1[:] = self._zero_nets
         vnets = self._vnets
         eweight = self._eweight
         gain = self._gain
@@ -513,7 +496,6 @@ class FMBipartitioner:
             g = 0
             if parts[v]:
                 for e in vn:
-                    uf1[e] += 1
                     w = eweight[e]
                     if cnt1[e] == 1:
                         g += w
@@ -521,7 +503,6 @@ class FMBipartitioner:
                         g -= w
             else:
                 for e in vn:
-                    uf0[e] += 1
                     w = eweight[e]
                     if cnt0[e] == 1:
                         g += w
@@ -541,8 +522,8 @@ class FMBipartitioner:
 
         This is the kernel: bucket links, pin counts and gains are
         manipulated through pre-bound local references, and the
-        single-pin / whole-net gain updates use the id-sum and
-        unlocked-count buffers described in the module docstring.
+        single-pin and two-pin gain updates use the id-sum buffers
+        described in the module docstring.
         """
         epins = self._epins
         eweight = self._eweight
@@ -554,8 +535,6 @@ class FMBipartitioner:
         cnt1 = self._cnt1
         ids0 = self._ids0
         ids1 = self._ids1
-        uf0 = self._uf0
-        uf1 = self._uf1
         clip = self.config.policy == "clip"
         fifo = self.config.policy == "fifo"
 
@@ -568,16 +547,12 @@ class FMBipartitioner:
         snap_cnt1 = self._snap_cnt1
         snap_ids0 = self._snap_ids0
         snap_ids1 = self._snap_ids1
-        snap_uf0 = self._snap_uf0
-        snap_uf1 = self._snap_uf1
         snap_gain = self._snap_gain
         snap_parts = self._snap_parts
         snap_cnt0[:] = cnt0
         snap_cnt1[:] = cnt1
         snap_ids0[:] = ids0
         snap_ids1[:] = ids1
-        snap_uf0[:] = uf0
-        snap_uf1[:] = uf1
         snap_gain[:] = gain
         snap_parts[:] = parts
 
@@ -678,11 +653,14 @@ class FMBipartitioner:
 
         while nmoves < move_limit:
             # ---- selection (inlined _select_move) -------------------
-            # The balance gate is fully inlined: strict feasibility,
-            # then violation reduction (the "before" pair violation is
-            # loop-invariant per side and hoisted), then the escape
-            # hatch off the heavier side.  Must stay equivalent to
-            # _move_allowed.
+            # The balance gate allows a move that is strictly feasible,
+            # that reduces the violation (the "before" pair violation is
+            # loop-invariant per side and hoisted), or -- the escape
+            # hatch -- that leaves the heavier (or equal) side with a
+            # violation within the escape slack.  Without the hatch FM
+            # deadlocks on balance windows narrower than one cell; the
+            # rollback still restores the best *feasible* prefix, so
+            # final solutions never rely on it.
             best_v = -1
             best_sel_key = 0
             best_side = 0
@@ -786,14 +764,12 @@ class FMBipartitioner:
                 ht_, tt_, pt_, nt_, kt_ = h0, t0, p0, n0, k0
                 cs_, ct_ = cnt1, cnt0
                 iss_, ist_ = ids1, ids0
-                ufs_ = uf1
                 pres_s, pres_t = pr1, pr0
             else:
                 hd, tl, pv, nx, ky = h0, t0, p0, n0, k0
                 ht_, tt_, pt_, nt_, kt_ = h1, t1, p1, n1, k1
                 cs_, ct_ = cnt0, cnt1
                 iss_, ist_ = ids0, ids1
-                ufs_ = uf0
                 pres_s, pres_t = pr0, pr1
 
             # ---- lock v: inlined bucket remove ----------------------
@@ -826,12 +802,14 @@ class FMBipartitioner:
             # ``v`` itself is locked, so gain updates skip it; its own
             # gain flips sign exactly (the move reverses every one of
             # its net contributions).
+            # A whole-net update fires only while the net lies on one
+            # side -- the source before the move, the target after it --
+            # so every pin it adjusts sits in that side's bucket.
             # Bucket adjusts are inlined and sign-specialized: a +w
             # adjust can only raise the max index (if the source bucket
             # was the max, the destination is higher still), a -w adjust
             # can only lower it (walk down when the max bucket empties).
             for e in vnets[v]:
-                ufs_[e] -= 1  # v is no longer an unlocked pin of e
                 w = eweight[e]
                 if w:
                     ct = ct_[e]
@@ -844,118 +822,60 @@ class FMBipartitioner:
                         u = iss_[e] - v
                         if free[u]:
                             gain[u] += w
-                            if parts[u]:
-                                if pr1[u]:
-                                    kk = k1[u]
-                                    idxo = kk + limit
-                                    pu = p1[u]
-                                    nu = n1[u]
-                                    if pu != NIL:
-                                        n1[pu] = nu
-                                    else:
-                                        h1[idxo] = nu
-                                    if nu != NIL:
-                                        p1[nu] = pu
-                                    else:
-                                        t1[idxo] = pu
-                                    idx2 = idxo + w
-                                    oh = h1[idx2]
-                                    n1[u] = oh
-                                    p1[u] = NIL
-                                    if oh != NIL:
-                                        p1[oh] = u
-                                    else:
-                                        t1[idx2] = u
-                                    h1[idx2] = u
-                                    k1[u] = kk + w
-                                    if idx2 > maxi[1]:
-                                        maxi[1] = idx2
-                            elif pr0[u]:
-                                kk = k0[u]
+                            if pres_s[u]:
+                                kk = ky[u]
                                 idxo = kk + limit
-                                pu = p0[u]
-                                nu = n0[u]
+                                pu = pv[u]
+                                nu = nx[u]
                                 if pu != NIL:
-                                    n0[pu] = nu
+                                    nx[pu] = nu
                                 else:
-                                    h0[idxo] = nu
+                                    hd[idxo] = nu
                                 if nu != NIL:
-                                    p0[nu] = pu
+                                    pv[nu] = pu
                                 else:
-                                    t0[idxo] = pu
+                                    tl[idxo] = pu
                                 idx2 = idxo + w
-                                oh = h0[idx2]
-                                n0[u] = oh
-                                p0[u] = NIL
+                                oh = hd[idx2]
+                                nx[u] = oh
+                                pv[u] = NIL
                                 if oh != NIL:
-                                    p0[oh] = u
+                                    pv[oh] = u
                                 else:
-                                    t0[idx2] = u
-                                h0[idx2] = u
-                                k0[u] = kk + w
-                                if idx2 > maxi[0]:
-                                    maxi[0] = idx2
+                                    tl[idx2] = u
+                                hd[idx2] = u
+                                ky[u] = kk + w
+                                if idx2 > maxi[s]:
+                                    maxi[s] = idx2
                     elif cs2 > 2:
-                        pins = epins[e]
-                        if uf0[e] or uf1[e]:
-                            for u in pins:
-                                if u != v and free[u]:
-                                    gain[u] += w
-                                    if parts[u]:
-                                        if pr1[u]:
-                                            kk = k1[u]
-                                            idxo = kk + limit
-                                            pu = p1[u]
-                                            nu = n1[u]
-                                            if pu != NIL:
-                                                n1[pu] = nu
-                                            else:
-                                                h1[idxo] = nu
-                                            if nu != NIL:
-                                                p1[nu] = pu
-                                            else:
-                                                t1[idxo] = pu
-                                            idx2 = idxo + w
-                                            oh = h1[idx2]
-                                            n1[u] = oh
-                                            p1[u] = NIL
-                                            if oh != NIL:
-                                                p1[oh] = u
-                                            else:
-                                                t1[idx2] = u
-                                            h1[idx2] = u
-                                            k1[u] = kk + w
-                                            if idx2 > maxi[1]:
-                                                maxi[1] = idx2
-                                    elif pr0[u]:
-                                        kk = k0[u]
-                                        idxo = kk + limit
-                                        pu = p0[u]
-                                        nu = n0[u]
-                                        if pu != NIL:
-                                            n0[pu] = nu
-                                        else:
-                                            h0[idxo] = nu
-                                        if nu != NIL:
-                                            p0[nu] = pu
-                                        else:
-                                            t0[idxo] = pu
-                                        idx2 = idxo + w
-                                        oh = h0[idx2]
-                                        n0[u] = oh
-                                        p0[u] = NIL
-                                        if oh != NIL:
-                                            p0[oh] = u
-                                        else:
-                                            t0[idx2] = u
-                                        h0[idx2] = u
-                                        k0[u] = kk + w
-                                        if idx2 > maxi[0]:
-                                            maxi[0] = idx2
-                        else:
-                            for u in pins:
-                                if u != v and free[u]:
-                                    gain[u] += w
+                        for u in epins[e]:
+                            if u != v and free[u]:
+                                gain[u] += w
+                                if pres_s[u]:
+                                    kk = ky[u]
+                                    idxo = kk + limit
+                                    pu = pv[u]
+                                    nu = nx[u]
+                                    if pu != NIL:
+                                        nx[pu] = nu
+                                    else:
+                                        hd[idxo] = nu
+                                    if nu != NIL:
+                                        pv[nu] = pu
+                                    else:
+                                        tl[idxo] = pu
+                                    idx2 = idxo + w
+                                    oh = hd[idx2]
+                                    nx[u] = oh
+                                    pv[u] = NIL
+                                    if oh != NIL:
+                                        pv[oh] = u
+                                    else:
+                                        tl[idx2] = u
+                                    hd[idx2] = u
+                                    ky[u] = kk + w
+                                    if idx2 > maxi[s]:
+                                        maxi[s] = idx2
                     elif ct == 1:
                         u = ist_[e]
                         if free[u]:
@@ -1002,142 +922,66 @@ class FMBipartitioner:
                         u = ist_[e] - v
                         if free[u]:
                             gain[u] -= w
-                            if parts[u]:
-                                if pr1[u]:
-                                    kk = k1[u]
-                                    idxo = kk + limit
-                                    pu = p1[u]
-                                    nu = n1[u]
-                                    if pu != NIL:
-                                        n1[pu] = nu
-                                    else:
-                                        h1[idxo] = nu
-                                    if nu != NIL:
-                                        p1[nu] = pu
-                                    else:
-                                        t1[idxo] = pu
-                                    idx2 = idxo - w
-                                    oh = h1[idx2]
-                                    n1[u] = oh
-                                    p1[u] = NIL
-                                    if oh != NIL:
-                                        p1[oh] = u
-                                    else:
-                                        t1[idx2] = u
-                                    h1[idx2] = u
-                                    k1[u] = kk - w
-                                    if (
-                                        idxo == maxi[1]
-                                        and h1[idxo] == NIL
-                                    ):
-                                        m = idxo
-                                        while h1[m] == NIL:
-                                            m -= 1
-                                        maxi[1] = m
-                            elif pr0[u]:
-                                kk = k0[u]
+                            if pres_t[u]:
+                                kk = kt_[u]
                                 idxo = kk + limit
-                                pu = p0[u]
-                                nu = n0[u]
+                                pu = pt_[u]
+                                nu = nt_[u]
                                 if pu != NIL:
-                                    n0[pu] = nu
+                                    nt_[pu] = nu
                                 else:
-                                    h0[idxo] = nu
+                                    ht_[idxo] = nu
                                 if nu != NIL:
-                                    p0[nu] = pu
+                                    pt_[nu] = pu
                                 else:
-                                    t0[idxo] = pu
+                                    tt_[idxo] = pu
                                 idx2 = idxo - w
-                                oh = h0[idx2]
-                                n0[u] = oh
-                                p0[u] = NIL
+                                oh = ht_[idx2]
+                                nt_[u] = oh
+                                pt_[u] = NIL
                                 if oh != NIL:
-                                    p0[oh] = u
+                                    pt_[oh] = u
                                 else:
-                                    t0[idx2] = u
-                                h0[idx2] = u
-                                k0[u] = kk - w
-                                if (
-                                    idxo == maxi[0]
-                                    and h0[idxo] == NIL
-                                ):
+                                    tt_[idx2] = u
+                                ht_[idx2] = u
+                                kt_[u] = kk - w
+                                if idxo == maxi[t] and ht_[idxo] == NIL:
                                     m = idxo
-                                    while h0[m] == NIL:
+                                    while ht_[m] == NIL:
                                         m -= 1
-                                    maxi[0] = m
+                                    maxi[t] = m
                     elif ct2 > 2:
-                        pins = epins[e]
-                        if uf0[e] or uf1[e]:
-                            for u in pins:
-                                if u != v and free[u]:
-                                    gain[u] -= w
-                                    if parts[u]:
-                                        if pr1[u]:
-                                            kk = k1[u]
-                                            idxo = kk + limit
-                                            pu = p1[u]
-                                            nu = n1[u]
-                                            if pu != NIL:
-                                                n1[pu] = nu
-                                            else:
-                                                h1[idxo] = nu
-                                            if nu != NIL:
-                                                p1[nu] = pu
-                                            else:
-                                                t1[idxo] = pu
-                                            idx2 = idxo - w
-                                            oh = h1[idx2]
-                                            n1[u] = oh
-                                            p1[u] = NIL
-                                            if oh != NIL:
-                                                p1[oh] = u
-                                            else:
-                                                t1[idx2] = u
-                                            h1[idx2] = u
-                                            k1[u] = kk - w
-                                            if (
-                                                idxo == maxi[1]
-                                                and h1[idxo] == NIL
-                                            ):
-                                                m = idxo
-                                                while h1[m] == NIL:
-                                                    m -= 1
-                                                maxi[1] = m
-                                    elif pr0[u]:
-                                        kk = k0[u]
-                                        idxo = kk + limit
-                                        pu = p0[u]
-                                        nu = n0[u]
-                                        if pu != NIL:
-                                            n0[pu] = nu
-                                        else:
-                                            h0[idxo] = nu
-                                        if nu != NIL:
-                                            p0[nu] = pu
-                                        else:
-                                            t0[idxo] = pu
-                                        idx2 = idxo - w
-                                        oh = h0[idx2]
-                                        n0[u] = oh
-                                        p0[u] = NIL
-                                        if oh != NIL:
-                                            p0[oh] = u
-                                        else:
-                                            t0[idx2] = u
-                                        h0[idx2] = u
-                                        k0[u] = kk - w
-                                        if (
-                                            idxo == maxi[0]
-                                            and h0[idxo] == NIL
-                                        ):
-                                            m = idxo
-                                            while h0[m] == NIL:
-                                                m -= 1
-                                            maxi[0] = m
-                        else:
-                            for u in pins:
-                                if u != v and free[u]:
-                                    gain[u] -= w
+                        for u in epins[e]:
+                            if u != v and free[u]:
+                                gain[u] -= w
+                                if pres_t[u]:
+                                    kk = kt_[u]
+                                    idxo = kk + limit
+                                    pu = pt_[u]
+                                    nu = nt_[u]
+                                    if pu != NIL:
+                                        nt_[pu] = nu
+                                    else:
+                                        ht_[idxo] = nu
+                                    if nu != NIL:
+                                        pt_[nu] = pu
+                                    else:
+                                        tt_[idxo] = pu
+                                    idx2 = idxo - w
+                                    oh = ht_[idx2]
+                                    nt_[u] = oh
+                                    pt_[u] = NIL
+                                    if oh != NIL:
+                                        pt_[oh] = u
+                                    else:
+                                        tt_[idx2] = u
+                                    ht_[idx2] = u
+                                    kt_[u] = kk - w
+                                    if idxo == maxi[t] and ht_[idxo] == NIL:
+                                        m = idxo
+                                        while ht_[m] == NIL:
+                                            m -= 1
+                                        maxi[t] = m
                     elif cs == 1:
                         u = iss_[e]
                         if free[u]:
@@ -1208,9 +1052,6 @@ class FMBipartitioner:
                 best_cut = cut
                 best_prefix = nmoves
 
-        loads[0] = l0
-        loads[1] = l1
-
         # Write the scalar bucket state back so reset() stays coherent.
         b0._max_index, b1._max_index = maxi
         b0._count, b1._count = counts
@@ -1218,146 +1059,81 @@ class FMBipartitioner:
         # ---- restore the best prefix (cheaper direction) ------------
         # Each undo is itself a move, so the same delta formulas restore
         # cnt/ids/gain exactly; buckets are left alone (next pass resets
-        # them) so only the gain scalars are updated here.  When the
-        # pass keeps fewer moves than it undoes, it is cheaper to copy
-        # the pass-start snapshot back and replay the kept prefix
-        # forwards instead.
+        # them) so only the gain scalars are updated here.  Flipping the
+        # undone suffix backwards is the default; when the pass keeps
+        # fewer moves than it undoes, copying the pass-start snapshot
+        # back and flipping the kept prefix forwards is cheaper.
         moves_made = len(move_log)
+        undone = move_log[best_prefix:]
+        undone.reverse()
+        # Loads are floats of arbitrary vertex areas, so either way they
+        # are unwound with the backward delta arithmetic the reference
+        # uses (addition is not associative); two flops per undone
+        # move, no net traversal.
+        for v in undone:
+            av = areas[v]
+            if parts[v]:
+                l1 -= av
+                l0 += av
+            else:
+                l0 -= av
+                l1 += av
+        loads[0] = l0
+        loads[1] = l1
         if best_prefix <= moves_made - best_prefix:
-            # Loads are floats of arbitrary vertex areas, so they must
-            # be unwound with the same backward delta arithmetic the
-            # reference uses (addition is not associative); two flops
-            # per undone move, no net traversal.  Each vertex moves at
-            # most once per pass, so the snapshot side is the source.
-            for v in reversed(move_log[best_prefix:]):
-                av = areas[v]
-                if snap_parts[v]:
-                    l0 -= av
-                    l1 += av
-                else:
-                    l1 -= av
-                    l0 += av
-            loads[0] = l0
-            loads[1] = l1
             cnt0[:] = snap_cnt0
             cnt1[:] = snap_cnt1
             ids0[:] = snap_ids0
             ids1[:] = snap_ids1
-            uf0[:] = snap_uf0
-            uf1[:] = snap_uf1
             gain[:] = snap_gain
             parts[:] = snap_parts
-            for i in range(best_prefix):
-                v = move_log[i]
-                s = parts[v]
-                t = 1 - s
-                cs_ = cnt1 if s else cnt0
-                ct_ = cnt0 if s else cnt1
-                iss_ = ids1 if s else ids0
-                ist_ = ids0 if s else ids1
-                ufs_ = uf1 if s else uf0
-                uft_ = uf0 if s else uf1
-                for e in vnets[v]:
-                    w = eweight[e]
-                    if w:
-                        ct = ct_[e]
-                        cs2 = cs_[e] if ct == 0 else 0
-                        if cs2 == 2:
-                            u = iss_[e] - v
-                            if free[u]:
-                                gain[u] += w
-                        elif cs2 > 2:
-                            for u in epins[e]:
-                                if u != v and free[u]:
-                                    gain[u] += w
-                        elif ct == 1:
-                            u = ist_[e]
-                            if free[u]:
-                                gain[u] -= w
-                    cs_[e] -= 1
-                    ct_[e] += 1
-                    iss_[e] -= v
-                    ist_[e] += v
-                    if w:
-                        cs = cs_[e]
-                        ct2 = ct_[e] if cs == 0 else 0
-                        if ct2 == 2:
-                            u = ist_[e] - v
-                            if free[u]:
-                                gain[u] -= w
-                        elif ct2 > 2:
-                            for u in epins[e]:
-                                if u != v and free[u]:
-                                    gain[u] -= w
-                        elif cs == 1:
-                            u = iss_[e]
-                            if free[u]:
-                                gain[u] += w
-                    # v lives unlocked on its kept side from now on.
-                    ufs_[e] -= 1
-                    uft_[e] += 1
-                parts[v] = t
-                gain[v] = -gain[v]
+            flips = move_log[:best_prefix]
         else:
-            for v in reversed(move_log[best_prefix:]):
-                t = parts[v]
-                s = 1 - t
-                # v moves from t back to s: source views bind to t,
-                # destination views to s.
-                csrc = cnt1 if t else cnt0
-                cdst = cnt0 if t else cnt1
-                isrc = ids1 if t else ids0
-                idst = ids0 if t else ids1
-                ufdst = uf0 if t else uf1
-                for e in vnets[v]:
-                    w = eweight[e]
-                    if w:
-                        cd = cdst[e]
-                        cr2 = csrc[e] if cd == 0 else 0
-                        if cr2 == 2:
-                            u = isrc[e] - v
-                            if free[u]:
+            flips = undone
+        for v in flips:
+            s = parts[v]
+            cs_ = cnt1 if s else cnt0
+            ct_ = cnt0 if s else cnt1
+            iss_ = ids1 if s else ids0
+            ist_ = ids0 if s else ids1
+            for e in vnets[v]:
+                w = eweight[e]
+                if w:
+                    ct = ct_[e]
+                    cs2 = cs_[e] if ct == 0 else 0
+                    if cs2 == 2:
+                        u = iss_[e] - v
+                        if free[u]:
+                            gain[u] += w
+                    elif cs2 > 2:
+                        for u in epins[e]:
+                            if u != v and free[u]:
                                 gain[u] += w
-                        elif cr2 > 2:
-                            for u in epins[e]:
-                                if u != v and free[u]:
-                                    gain[u] += w
-                        elif cd == 1:
-                            u = idst[e]
-                            if free[u]:
+                    elif ct == 1:
+                        u = ist_[e]
+                        if free[u]:
+                            gain[u] -= w
+                cs_[e] -= 1
+                ct_[e] += 1
+                iss_[e] -= v
+                ist_[e] += v
+                if w:
+                    cs = cs_[e]
+                    ct2 = ct_[e] if cs == 0 else 0
+                    if ct2 == 2:
+                        u = ist_[e] - v
+                        if free[u]:
+                            gain[u] -= w
+                    elif ct2 > 2:
+                        for u in epins[e]:
+                            if u != v and free[u]:
                                 gain[u] -= w
-                    csrc[e] -= 1
-                    cdst[e] += 1
-                    isrc[e] -= v
-                    idst[e] += v
-                    if w:
-                        cr = csrc[e]
-                        cd2 = cdst[e] if cr == 0 else 0
-                        if cd2 == 2:
-                            u = idst[e] - v
-                            if free[u]:
-                                gain[u] -= w
-                        elif cd2 > 2:
-                            for u in epins[e]:
-                                if u != v and free[u]:
-                                    gain[u] -= w
-                        elif cr == 1:
-                            u = isrc[e]
-                            if free[u]:
-                                gain[u] += w
-                    ufdst[e] += 1  # v unlocks on its restored side
-                parts[v] = s
-                gain[v] = -gain[v]
-                av = areas[v]
-                loads[t] -= av
-                loads[s] += av
-
-            # Kept-prefix vertices stay on their new side; unlock there.
-            for i in range(best_prefix):
-                v = move_log[i]
-                ufp = uf1 if parts[v] else uf0
-                for e in vnets[v]:
-                    ufp[e] += 1
+                    elif cs == 1:
+                        u = iss_[e]
+                        if free[u]:
+                            gain[u] += w
+            parts[v] = 1 - s
+            gain[v] = -gain[v]
         cut = best_cut
 
         record = PassRecord(
@@ -1387,32 +1163,3 @@ class FMBipartitioner:
         if violation == 0.0:
             return (0, float(cut))
         return (1, violation)
-
-    def _move_allowed(
-        self, loads: List[float], weight: float, source: int, target: int
-    ) -> bool:
-        """Balance gate for one move (slow path).
-
-        Strictly feasible or violation-reducing moves are always allowed
-        (see :meth:`BalanceConstraint.allows_move`).  Additionally, a
-        move off the heavier (or equal) side whose resulting violation
-        stays within the escape slack is allowed: with a balance window
-        narrower than one cell, *every* move transiently violates the
-        window, and without this hatch FM would deadlock at the first
-        tight bisection.  The pass rollback still restores the best
-        *feasible* prefix, so final solutions never rely on the hatch.
-
-        The selection loop inlines the strictly-feasible fast path and
-        only falls back here, so this method must stay equivalent to
-        "allows_move or escape hatch".
-        """
-        if self.balance.allows_move(loads, weight, source, target):
-            return True
-        if loads[source] < loads[target]:
-            return False
-        after = [
-            load - weight if i == source else
-            load + weight if i == target else load
-            for i, load in enumerate(loads)
-        ]
-        return self.balance.violation(after) <= self._escape_slack

@@ -18,7 +18,8 @@ The cut-nets objective (weight of nets spanning >= 2 blocks) matches
 Like the 2-way engine, the hot path is a flat-array kernel: the refiner
 owns a persistent ``array``-module pin-count buffer (``cnt[e * k + p]``)
 and a net-span buffer, derived once per :meth:`KWayFMRefiner.run` and
-kept exact across passes by replaying the rolled-back moves in reverse,
+kept exact across passes by the rollback (flip the undone suffix back,
+or restore a pass-start snapshot and flip the kept prefix forwards),
 plus one reusable :class:`GainBucket` reset per pass.  The move sequence
 is bit-identical to the straightforward engine retained in
 :mod:`repro.partition.fm_reference`.
@@ -283,81 +284,15 @@ class KWayFMRefiner:
             return (0, float(cut), max(loads) - min(loads))
         return (1, violation, float(cut))
 
-    def _best_move(
-        self,
-        v: int,
-        parts: List[int],
-        loads: List[float],
-    ) -> Tuple[int, int]:
-        """Best (gain, target) for vertex ``v`` among feasible targets.
-
-        Returns ``(gain, target)``; target is -1 when no target is
-        feasible under the balance gate.  Reads the persistent flat
-        ``cnt``/``spans`` buffers.
-        """
-        cnt = self._cnt
-        spans = self._spans
-        k = self.num_parts
-        s = parts[v]
-        av = self._areas[v]
-        eweight = self._eweight
-
-        # Classify v's nets once -- the per-target contribution of a net
-        # depends on the target only for "critical" span-2 nets where v
-        # is alone on its side (those gain +w iff the target already
-        # holds a pin).  Everything else is target-independent:
-        # span >= 3 nets stay cut no matter where v goes (0); span-1
-        # nets with other pins on side s become cut everywhere (-w);
-        # singleton nets never change (0).
-        base_gain = 0
-        crit_bases: List[int] = []
-        crit_weights: List[int] = []
-        for e in self._vnets[v]:
-            w = eweight[e]
-            if not w:
-                continue
-            span = spans[e]
-            if span == 2:
-                if cnt[e * k + s] == 1:
-                    crit_bases.append(e * k)
-                    crit_weights.append(w)
-            elif span == 1 and cnt[e * k + s] != 1:
-                base_gain -= w
-
-        # Strictly-feasible fast path inlined; the violation-reduction /
-        # escape-hatch slow path stays in _move_allowed.
-        mnl = self.balance.min_loads
-        mxl = self.balance.max_loads
-        new_src = loads[s] - av
-        src_ok = mnl[s] <= new_src <= mxl[s]
-        best_gain = None
-        best_target = -1
-        best_load = 0.0
-        for t in range(k):
-            if t == s:
-                continue
-            lt = loads[t]
-            if not (
-                (src_ok and mnl[t] <= lt + av <= mxl[t])
-                or self._move_allowed(loads, av, s, t)
-            ):
-                continue
-            gain = base_gain
-            if crit_bases:
-                for base, w in zip(crit_bases, crit_weights):
-                    if cnt[base + t]:
-                        gain += w
-            if best_gain is None or gain > best_gain or (
-                gain == best_gain and lt < best_load
-            ):
-                best_gain = gain
-                best_target = t
-                best_load = lt
-        return (best_gain if best_gain is not None else 0, best_target)
-
     def _move_allowed(
         self, loads: List[float], weight: float, source: int, target: int
     ) -> bool:
+        """Balance gate slow path (the strictly-feasible case is inlined).
+
+        Violation-reducing moves are allowed, and so is a move off the
+        heavier (or equal) block whose violation stays within the escape
+        slack, so tight windows cannot deadlock the pass.
+        """
         if self.balance.allows_move(loads, weight, source, target):
             return True
         if loads[source] < loads[target]:
@@ -415,7 +350,16 @@ class KWayFMRefiner:
         order = list(self._movable)
         rng.shuffle(order)
         for v in order:
-            # ---- inlined _best_move (kept in sync with the method) --
+            # ---- best (gain, target) of v over feasible targets ----
+            # Classify v's nets once -- the per-target contribution of
+            # a net depends on the target only for "critical" span-2
+            # nets where v is alone on its side (those gain +w iff the
+            # target already holds a pin).  Everything else is
+            # target-independent: span >= 3 nets stay cut wherever v
+            # goes (0); span-1 nets with other pins on side s become
+            # cut everywhere (-w); singleton nets never change (0).
+            # The same code runs again at pop time below; calling one
+            # shared method instead measured slower.
             s = parts[v]
             av = areas[v]
             base_gain = 0
@@ -505,7 +449,7 @@ class KWayFMRefiner:
             elif nu == NIL:
                 while bh[bmaxi] == NIL:
                     bmaxi -= 1
-            # ---- inlined _best_move (kept in sync with the method) --
+            # ---- fresh best (gain, target) of v (same as above) ------
             s = parts[v]
             av = areas[v]
             base_gain = 0
@@ -614,50 +558,38 @@ class KWayFMRefiner:
         bucket._max_index = bmaxi
 
         # Restore the best prefix, cheaper direction first.  Each undo
-        # is itself a move, so replaying the undone suffix backwards
+        # is itself a move, so flipping the undone suffix backwards
         # restores cnt/spans exactly -- no rebuild next pass.  When the
         # pass keeps fewer moves than it undoes, copying the pass-start
-        # snapshot back and replaying the kept prefix forwards is
-        # cheaper.  Loads are floats, so they are always unwound with
-        # the backward delta arithmetic the reference uses (float
+        # snapshot back and flipping the kept prefix forwards is
+        # cheaper.  Loads are floats, so either way they are unwound
+        # with the backward delta arithmetic the reference uses (float
         # addition is not associative).
+        undone = move_log[best_prefix:]
+        undone.reverse()
+        for v, s, t in undone:
+            av = areas[v]
+            loads[t] -= av
+            loads[s] += av
         if best_prefix <= len(move_log) - best_prefix:
-            for v, s, t in reversed(move_log[best_prefix:]):
-                av = areas[v]
-                loads[t] -= av
-                loads[s] += av
             cnt[:] = snap_cnt
             spans[:] = snap_spans
             parts[:] = snap_parts
-            for i in range(best_prefix):
-                v, s, t = move_log[i]
-                for e in vnets[v]:
-                    base = e * k
-                    c = cnt[base + s] - 1
-                    cnt[base + s] = c
-                    if c == 0:
-                        spans[e] -= 1
-                    ct = cnt[base + t]
-                    if ct == 0:
-                        spans[e] += 1
-                    cnt[base + t] = ct + 1
-                parts[v] = t
+            flips = move_log[:best_prefix]
         else:
-            for v, s, t in reversed(move_log[best_prefix:]):
-                for e in vnets[v]:
-                    base = e * k
-                    c = cnt[base + t] - 1
-                    cnt[base + t] = c
-                    if c == 0:
-                        spans[e] -= 1
-                    cs = cnt[base + s]
-                    if cs == 0:
-                        spans[e] += 1
-                    cnt[base + s] = cs + 1
-                parts[v] = s
-                av = areas[v]
-                loads[t] -= av
-                loads[s] += av
+            flips = [(v, t, s) for v, s, t in undone]
+        for v, src, dst in flips:
+            for e in vnets[v]:
+                base = e * k
+                c = cnt[base + src] - 1
+                cnt[base + src] = c
+                if c == 0:
+                    spans[e] -= 1
+                cd = cnt[base + dst]
+                if cd == 0:
+                    spans[e] += 1
+                cnt[base + dst] = cd + 1
+            parts[v] = dst
         return best_cut, len(move_log), move_log
 
 

@@ -73,11 +73,6 @@ def _compatible(f_a: int, f_b: int) -> bool:
     return f_a == FREE or f_b == FREE or f_a == f_b
 
 
-def _merged_fixture(f_a: int, f_b: int) -> int:
-    """Fixture of the merged cluster (assumes compatibility)."""
-    return f_a if f_a != FREE else f_b
-
-
 class _MatchingScratch:
     """Process-persistent dense scratch for the matching kernels.
 

@@ -37,6 +37,7 @@ from repro.runtime.observe.trace import (
     SCHEMA,
     Span,
     Trace,
+    TraceFormatError,
     load_trace,
     merge_counters,
     merge_histograms,
@@ -50,6 +51,7 @@ __all__ = [
     "SCHEMA",
     "Span",
     "Trace",
+    "TraceFormatError",
     "TracedValue",
     "TraceRecorder",
     "active",

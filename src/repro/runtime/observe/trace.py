@@ -46,6 +46,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Union
 SCHEMA = "repro-trace/1"
 METRICS_SCHEMA = "repro-metrics/1"
 
+
+class TraceFormatError(ValueError):
+    """A file or payload that is not a well-formed ``repro-trace/1`` trace."""
+
+
 OPEN_DURATION = -1.0
 """Sentinel ``duration`` of a span that was never closed."""
 
@@ -192,7 +197,7 @@ class Trace:
         """Parse a serialized trace; rejects unknown schema families."""
         schema = payload.get("schema")
         if schema != SCHEMA:
-            raise ValueError(
+            raise TraceFormatError(
                 f"not a {SCHEMA} trace (schema field is {schema!r})"
             )
         return cls(
@@ -228,9 +233,21 @@ class Trace:
 
 
 def load_trace(path: Union[str, Path]) -> Trace:
-    """Read and parse a trace JSON file."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return Trace.from_dict(payload)
+    """Read and parse a trace JSON file.
+
+    Raises :class:`TraceFormatError` (naming ``path``) when the file is
+    not valid JSON or not a well-formed trace; a missing file raises
+    :class:`FileNotFoundError`.
+    """
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return Trace.from_dict(json.loads(text))
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise TraceFormatError(
+            f"{path}: not a valid {SCHEMA} trace ({exc})"
+        ) from exc
 
 
 def span_shape(span: Span) -> dict:

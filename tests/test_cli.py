@@ -254,3 +254,40 @@ class TestExperiment:
         rc = main(["experiment", "table1"])
         assert rc == 0
         assert "PASS" in capsys.readouterr().out
+
+
+# Bad-input table: each case names the user error and the argv that makes
+# it; {dir} is a generated instance directory, {tmp} the working
+# directory, holding ``garbled.json`` (not JSON at all).
+BAD_INPUT_CASES = {
+    "missing .nodes file": ["stats", "--dir", "{dir}", "--name", "absent"],
+    "missing --assignment file": [
+        "evaluate", "--dir", "{dir}", "--name", "clic",
+        "--assignment", "{tmp}/no_such_assignment.txt",
+    ],
+    "malformed trace JSON": ["trace", "summarize", "{tmp}/garbled.json"],
+    "missing trace file": ["trace", "summarize", "{tmp}/no_such_trace.json"],
+    "missing trace file, relative path": [
+        "trace", "summarize", "./no_such_trace.json",
+    ],
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("case", sorted(BAD_INPUT_CASES))
+    def test_one_line_error_and_exit_2(
+        self, case, generated, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "garbled.json").write_text("{not json")
+        argv = [
+            arg.format(dir=generated, tmp=tmp_path)
+            for arg in BAD_INPUT_CASES[case]
+        ]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "Traceback" not in captured.out + captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
