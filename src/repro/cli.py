@@ -10,13 +10,16 @@ Exposes the library's main workflows without writing Python::
 
 All subcommands are deterministic under ``--seed``.  Exit codes: 0 on
 success, 1 when ``evaluate`` finds a violated constraint, 2 on bad input
-(usage errors, missing or malformed input files), which is reported as
-one ``repro: error: ...`` line on stderr.
+(usage errors, missing or malformed input files, a ``--resume`` journal
+written for another study or instance), which is reported as one
+``repro: error: ...`` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import sys
 import time
 from pathlib import Path
@@ -37,7 +40,7 @@ from repro.partition import (
     relative_balance,
 )
 from repro.placement import build_suite, format_table, place_circuit
-from repro.runtime import jobs_from_env, parse_jobs
+from repro.runtime import CheckpointError, jobs_from_env, parse_jobs
 from repro.runtime import observe
 
 ENGINES = ("multilevel", "fm", "kway")
@@ -256,7 +259,35 @@ def _load(args: argparse.Namespace) -> PartitioningInstance:
     return read_bookshelf(args.dir, args.name)
 
 
-def _partition_runtime(args: argparse.Namespace):
+def _instance_digest(instance: PartitioningInstance) -> str:
+    """SHA-256 of the instance content the partition results depend on.
+
+    Covers the CSR arrays, areas and net weights, the hard fixture and
+    the balance bounds -- what the instance *is*, not where it lives, so
+    a file regenerated in place no longer matches its old journal.
+    """
+    digest = hashlib.sha256()
+    buffers = instance.graph.to_buffers()
+    for key in (
+        "net_ptr", "net_pins", "vtx_ptr", "vtx_nets", "areas", "net_weights"
+    ):
+        data = buffers[key].tobytes()
+        digest.update(f"{key}:{len(data)}:".encode())
+        digest.update(data)
+    balance = instance.balance
+    bounds = [
+        [list(c.min_loads), list(c.max_loads)]
+        for c in getattr(balance, "constraints", [balance])
+    ]
+    digest.update(
+        json.dumps([instance.hard_fixture(), bounds]).encode()
+    )
+    return digest.hexdigest()
+
+
+def _partition_runtime(
+    args: argparse.Namespace, instance: PartitioningInstance
+):
     """(policy, checkpoint) for the partition command's runtime flags."""
     from repro.experiments.reporting import RuntimeFlags
 
@@ -268,8 +299,7 @@ def _partition_runtime(args: argparse.Namespace):
     journal = flags.journal(
         {
             "command": "partition",
-            "dir": str(args.dir),
-            "name": args.name,
+            "instance": _instance_digest(instance),
             "engine": args.engine,
             "starts": args.starts,
             "seed": args.seed,
@@ -289,7 +319,7 @@ def _cmd_partition(args: argparse.Namespace) -> int:
     # given command line prints the same cut at every --jobs value (and
     # the same cut this CLI always printed).
     start_seeds = [args.seed + i for i in range(args.starts)]
-    policy, checkpoint = _partition_runtime(args)
+    policy, checkpoint = _partition_runtime(args, instance)
     t0 = time.perf_counter()
     if args.engine == "kway":
         num_parts = args.parts or instance.num_parts
@@ -550,7 +580,12 @@ def _run_observed(handler, args: argparse.Namespace) -> int:
     return code
 
 
-_INPUT_ERRORS = (BookshelfFormatError, HypergraphError, observe.TraceFormatError)
+_INPUT_ERRORS = (
+    BookshelfFormatError,
+    CheckpointError,
+    HypergraphError,
+    observe.TraceFormatError,
+)
 """Errors that mean the user's input is bad, not that the program is."""
 
 

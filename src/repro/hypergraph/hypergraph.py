@@ -400,7 +400,7 @@ class Hypergraph:
             "extra_resources": self._extra_resources,
         }
 
-    def csr_lists(self) -> Tuple[List, ...]:
+    def csr_lists(self, cache: bool = True) -> Tuple[List, ...]:
         """Plain-list views of the CSR buffers, built once and cached.
 
         Returns ``(net_ptr, net_pins, vtx_ptr, vtx_nets, net_weights,
@@ -409,7 +409,10 @@ class Hypergraph:
         indexing must box a fresh one per access, which is what the
         coarsening kernels' inner loops are bound by.  The lists are
         cached on the instance; callers must treat them as read-only,
-        exactly like the hypergraph itself.
+        exactly like the hypergraph itself.  With ``cache=False`` a
+        graph that has no cached lists yet returns a fresh copy without
+        keeping it, for one-off callers (an FM engine flattening its
+        adjacency once) that should not pin the lists to the graph.
         """
         lists = self._csr_lists
         if lists is None:
@@ -421,7 +424,8 @@ class Hypergraph:
                 self._net_weights.tolist(),
                 self._areas.tolist(),
             )
-            self._csr_lists = lists
+            if cache:
+                self._csr_lists = lists
         return lists
 
     @classmethod

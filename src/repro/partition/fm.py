@@ -22,8 +22,8 @@ vertices has moved.
 Kernel layout
 -------------
 
-The inner loop is a flat-array kernel.  The engine owns persistent
-:mod:`array`-module typed buffers -- per-side net pin counts
+The inner loop is a flat-list kernel.  The engine owns persistent
+plain-list buffers -- per-side net pin counts
 (``_cnt0/_cnt1``), per-side pin-id sums (``_ids0/_ids1``) and the
 per-vertex exact gains (``_gain``) -- plus one reusable
 :class:`GainBucket` per side.  The invariants:
@@ -51,7 +51,6 @@ moves in the same order, same pass records, same cuts, bit for bit.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
@@ -59,12 +58,7 @@ from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
 from repro.partition.gainbucket import GainBucket
 from repro.runtime.observe import recorder as _observe
-from repro.partition.solution import (
-    FREE,
-    Bipartition,
-    cut_size,
-    validate_fixture,
-)
+from repro.partition.solution import FREE, Bipartition, validate_fixture
 
 POLICIES = ("lifo", "fifo", "clip")
 
@@ -164,13 +158,13 @@ class FMResult:
 _QualityKey = Tuple[int, float, float]
 
 
-def _resize_zq(arr: array, length: int) -> None:
-    """Resize a signed-64 array in place, zero-filling any growth."""
+def _resize_zq(arr: List[int], length: int) -> None:
+    """Resize an int list in place, zero-filling any growth."""
     cur = len(arr)
     if cur > length:
         del arr[length:]
     elif cur < length:
-        arr.extend(array("q", bytes(8 * (length - cur))))
+        arr.extend([0] * (length - cur))
 
 
 def _record_fm_run(recorder, span, config: FMConfig, result: FMResult) -> None:
@@ -240,19 +234,19 @@ class FMBipartitioner:
         self.balance = balance
         self.config = config or FMConfig()
 
-        # Persistent typed buffers.  _bind sizes them to the bound graph;
+        # Persistent kernel buffers.  _bind sizes them to the bound graph;
         # rebind() re-shapes them in place instead of reallocating, which
         # is what makes one engine serve a whole multilevel hierarchy.
-        self._cnt0 = array("q")
-        self._cnt1 = array("q")
-        self._ids0 = array("q")
-        self._ids1 = array("q")
-        self._gain = array("q")
-        self._snap_cnt0 = array("q")
-        self._snap_cnt1 = array("q")
-        self._snap_ids0 = array("q")
-        self._snap_ids1 = array("q")
-        self._snap_gain = array("q")
+        self._cnt0: List[int] = []
+        self._cnt1: List[int] = []
+        self._ids0: List[int] = []
+        self._ids1: List[int] = []
+        self._gain: List[int] = []
+        self._snap_cnt0: List[int] = []
+        self._snap_cnt1: List[int] = []
+        self._snap_ids0: List[int] = []
+        self._snap_ids1: List[int] = []
+        self._snap_gain: List[int] = []
         self._snap_parts: List[int] = []
         self._buckets: Optional[Tuple[GainBucket, GainBucket]] = None
 
@@ -267,7 +261,7 @@ class FMBipartitioner:
     ) -> "FMBipartitioner":
         """Re-target the engine at a new ``(graph, fixture)`` pair.
 
-        All graph-derived state is recomputed, but every typed buffer and
+        All graph-derived state is recomputed, but every kernel buffer and
         both gain buckets are resized in place rather than reallocated --
         the engine-pool fast path for multilevel drivers that refine a
         stack of similarly-shaped graphs.  Returns ``self``.
@@ -295,16 +289,21 @@ class FMBipartitioner:
         self.graph = graph
         self.fixture = list(fixture)
 
-        # Flatten adjacency into plain lists once; the inner loop must not
-        # pay slice/reconstruction costs on every access.
+        # Per-vertex/per-net adjacency sliced once from the graph's CSR
+        # lists (its cache if built, else a copy that is not cached);
+        # weights and areas alias those lists (read-only).
+        net_ptr, net_pins, vtx_ptr, vtx_nets, net_weights, areas = (
+            graph.csr_lists(cache=False)
+        )
         self._vnets: List[List[int]] = [
-            list(graph.vertex_nets(v)) for v in range(n)
+            vtx_nets[vtx_ptr[v] : vtx_ptr[v + 1]] for v in range(n)
         ]
         self._epins: List[List[int]] = [
-            list(graph.net_pins(e)) for e in range(graph.num_nets)
+            net_pins[net_ptr[e] : net_ptr[e + 1]]
+            for e in range(graph.num_nets)
         ]
-        self._eweight: List[int] = list(graph.net_weights)
-        self._areas: List[float] = list(graph.areas)
+        self._eweight: List[int] = net_weights
+        self._areas: List[float] = areas
         self._movable: List[int] = [
             v for v in range(n) if self.fixture[v] == FREE
         ]
@@ -372,19 +371,13 @@ class FMBipartitioner:
         return len(self._movable)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        initial_parts: Sequence[int],
-        initial_cut: Optional[int] = None,
-    ) -> FMResult:
+    def run(self, initial_parts: Sequence[int]) -> FMResult:
         """Improve ``initial_parts`` and return the best solution found.
 
         Fixed vertices are forced onto their mandated side before the
         first pass, so any initial assignment for them is tolerated.
-        ``initial_cut`` lets a caller that already knows the exact cut of
-        ``initial_parts`` (e.g. the multilevel driver, whose projections
-        preserve the cut) skip the O(pins) ``cut_size`` evaluation; it is
-        trusted, so it must be exact.
+        The starting cut is read off the pin counts the run derives
+        anyway.
 
         With a :mod:`repro.runtime.observe` recorder active, the run is
         wrapped in an ``fm.run`` span carrying one ``fm.pass`` event per
@@ -394,21 +387,17 @@ class FMBipartitioner:
         """
         recorder = _observe.active()
         if not recorder.enabled:
-            return self._run(initial_parts, initial_cut)
+            return self._run(initial_parts)
         with recorder.span(
             "fm.run",
             policy=self.config.policy,
             movable=len(self._movable),
         ) as span:
-            result = self._run(initial_parts, initial_cut)
+            result = self._run(initial_parts)
             _record_fm_run(recorder, span, self.config, result)
         return result
 
-    def _run(
-        self,
-        initial_parts: Sequence[int],
-        initial_cut: Optional[int] = None,
-    ) -> FMResult:
+    def _run(self, initial_parts: Sequence[int]) -> FMResult:
         """The uninstrumented engine (see :meth:`run`)."""
         graph = self.graph
         n = graph.num_vertices
@@ -425,14 +414,12 @@ class FMBipartitioner:
         loads = [0.0, 0.0]
         for v in range(n):
             loads[parts[v]] += self._areas[v]
-        cut = cut_size(graph, parts) if initial_cut is None else initial_cut
+        cut = self._init_run_state(parts)
         result = FMResult(
             solution=Bipartition(parts=parts, cut=cut), initial_cut=cut
         )
         if not self._movable:
             return result
-
-        self._init_run_state(parts)
 
         max_passes = self.config.max_passes
         if max_passes < 0:
@@ -459,18 +446,21 @@ class FMBipartitioner:
         return result
 
     # ------------------------------------------------------------------
-    def _init_run_state(self, parts: List[int]) -> None:
+    def _init_run_state(self, parts: List[int]) -> int:
         """Derive cnt/ids/gain from ``parts`` (once per run).
 
         Subsequent passes keep these buffers exact incrementally: moves
         update them forward and the rollback flips moves back, so no
-        per-pass rebuild is needed.
+        per-pass rebuild is needed.  Returns the cut of ``parts``, which
+        the pin counts already imply (nets with pins on both sides).
         """
         cnt0 = self._cnt0
         cnt1 = self._cnt1
         ids0 = self._ids0
         ids1 = self._ids1
         epins = self._epins
+        eweight = self._eweight
+        cut = 0
         for e in range(len(epins)):
             c0 = 0
             s0 = 0
@@ -487,9 +477,10 @@ class FMBipartitioner:
             cnt1[e] = c1
             ids0[e] = s0
             ids1[e] = s1
+            if c0 and c1:
+                cut += eweight[e]
 
         vnets = self._vnets
-        eweight = self._eweight
         gain = self._gain
         for v in self._movable:
             vn = vnets[v]
@@ -509,6 +500,7 @@ class FMBipartitioner:
                     if cnt1[e] == 0:
                         g -= w
             gain[v] = g
+        return cut
 
     # ------------------------------------------------------------------
     def _run_pass(

@@ -99,11 +99,7 @@ class ReferenceFMBipartitioner:
         return len(self._movable)
 
     # ------------------------------------------------------------------
-    def run(
-        self,
-        initial_parts: Sequence[int],
-        initial_cut: Optional[int] = None,
-    ) -> FMResult:
+    def run(self, initial_parts: Sequence[int]) -> FMResult:
         """Improve ``initial_parts`` and return the best solution found."""
         graph = self.graph
         n = graph.num_vertices
@@ -120,7 +116,7 @@ class ReferenceFMBipartitioner:
         loads = [0.0, 0.0]
         for v in range(n):
             loads[parts[v]] += self._areas[v]
-        cut = cut_size(graph, parts) if initial_cut is None else initial_cut
+        cut = cut_size(graph, parts)
         result = FMResult(
             solution=Bipartition(parts=parts, cut=cut), initial_cut=cut
         )

@@ -15,8 +15,8 @@ the cut-nets objective) rather than only recursive bisection:
 The cut-nets objective (weight of nets spanning >= 2 blocks) matches
 :func:`repro.partition.solution.cut_size` for any k.
 
-Like the 2-way engine, the hot path is a flat-array kernel: the refiner
-owns a persistent ``array``-module pin-count buffer (``cnt[e * k + p]``)
+Like the 2-way engine, the hot path is a flat-list kernel: the refiner
+owns a persistent plain-list pin-count buffer (``cnt[e * k + p]``)
 and a net-span buffer, derived once per :meth:`KWayFMRefiner.run` and
 kept exact across passes by the rollback (flip the undone suffix back,
 or restore a pass-start snapshot and flip the kept prefix forwards),
@@ -28,14 +28,13 @@ is bit-identical to the straightforward engine retained in
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 from repro.hypergraph.hypergraph import Hypergraph
 from repro.partition.balance import BalanceConstraint
 from repro.partition.gainbucket import GainBucket
-from repro.partition.solution import FREE, cut_size, validate_fixture
+from repro.partition.solution import FREE, validate_fixture
 from repro.runtime.observe import recorder as _observe
 
 _KWAY_PASS_CAP = 100
@@ -106,14 +105,21 @@ class KWayFMRefiner:
         validate_fixture(fixture, n, self.num_parts)
         self.fixture = list(fixture)
 
+        # Adjacency sliced from the graph's CSR lists (its cache if built,
+        # else a copy that is not cached); weights and areas alias those
+        # lists (read-only).
+        net_ptr, net_pins, vtx_ptr, vtx_nets, net_weights, areas = (
+            graph.csr_lists(cache=False)
+        )
         self._vnets: List[List[int]] = [
-            list(graph.vertex_nets(v)) for v in range(n)
+            vtx_nets[vtx_ptr[v] : vtx_ptr[v + 1]] for v in range(n)
         ]
         self._epins: List[List[int]] = [
-            list(graph.net_pins(e)) for e in range(graph.num_nets)
+            net_pins[net_ptr[e] : net_ptr[e + 1]]
+            for e in range(graph.num_nets)
         ]
-        self._eweight: List[int] = list(graph.net_weights)
-        self._areas: List[float] = list(graph.areas)
+        self._eweight: List[int] = net_weights
+        self._areas: List[float] = areas
         self._movable: List[int] = [
             v for v in range(n) if self.fixture[v] == FREE
         ]
@@ -139,9 +145,9 @@ class KWayFMRefiner:
         # lazy-revalidation scheme.
         num_nets = graph.num_nets
         k = self.num_parts
-        self._zero_cnt = array("q", [0]) * (num_nets * k)
-        self._cnt = array("q", [0]) * (num_nets * k)
-        self._spans = array("q", [0]) * num_nets
+        self._zero_cnt = [0] * (num_nets * k)
+        self._cnt = [0] * (num_nets * k)
+        self._spans = [0] * num_nets
         self._bucket = GainBucket(n, self._max_gain)
         self._stored_target = [-1] * n
         # Scratch arrays for the inlined best-move net classification
@@ -153,8 +159,8 @@ class KWayFMRefiner:
         # the 2-way kernel): when a pass keeps fewer moves than it
         # undoes, restoring these C-speed copies and replaying the kept
         # prefix forwards beats unwinding the undone suffix.
-        self._snap_cnt = array("q", [0]) * (num_nets * k)
-        self._snap_spans = array("q", [0]) * num_nets
+        self._snap_cnt = [0] * (num_nets * k)
+        self._snap_spans = [0] * num_nets
         self._snap_parts: List[int] = [0] * n
 
     # ------------------------------------------------------------------
@@ -162,12 +168,11 @@ class KWayFMRefiner:
         self,
         initial_parts: Sequence[int],
         seed: int = 0,
-        initial_cut: Optional[int] = None,
     ) -> KWayFMResult:
         """Refine ``initial_parts``; fixed vertices are forced first.
 
-        ``initial_cut``, when given, must be the exact cut of the forced
-        assignment and skips the O(pins) ``cut_size`` evaluation.
+        The starting cut is read off the pin counts the run derives
+        anyway.
 
         Under an active :mod:`repro.runtime.observe` recorder the run is
         wrapped in a ``kwayfm.run`` span with one ``kwayfm.pass`` event
@@ -176,13 +181,13 @@ class KWayFMRefiner:
         """
         recorder = _observe.active()
         if not recorder.enabled:
-            return self._run(initial_parts, seed, initial_cut)
+            return self._run(initial_parts, seed)
         with recorder.span(
             "kwayfm.run",
             parts=self.num_parts,
             movable=len(self._movable),
         ) as span:
-            result = self._run(initial_parts, seed, initial_cut)
+            result = self._run(initial_parts, seed)
             span.set(
                 initial_cut=result.initial_cut,
                 final_cut=result.cut,
@@ -202,7 +207,6 @@ class KWayFMRefiner:
         self,
         initial_parts: Sequence[int],
         seed: int = 0,
-        initial_cut: Optional[int] = None,
     ) -> KWayFMResult:
         """The uninstrumented engine (see :meth:`run`)."""
         graph = self.graph
@@ -220,14 +224,10 @@ class KWayFMRefiner:
         loads = [0.0] * self.num_parts
         for v in range(n):
             loads[parts[v]] += self._areas[v]
-        cut = cut_size(graph, parts) if initial_cut is None else initial_cut
-        result = KWayFMResult(
-            parts=parts, cut=cut, initial_cut=cut
-        )
+        cut = self._init_run_state(parts)
+        result = KWayFMResult(parts=parts, cut=cut, initial_cut=cut)
         if not self._movable:
             return result
-
-        self._init_run_state(parts)
 
         rng = random.Random(seed)
         record_moves = self.config.record_moves
@@ -250,13 +250,19 @@ class KWayFMRefiner:
         return result
 
     # ------------------------------------------------------------------
-    def _init_run_state(self, parts: List[int]) -> None:
-        """Derive pin counts and spans from ``parts`` (once per run)."""
+    def _init_run_state(self, parts: List[int]) -> int:
+        """Derive pin counts and spans from ``parts`` (once per run).
+
+        Returns the cut of ``parts``: the weight of nets spanning more
+        than one block, read off the spans just computed.
+        """
         k = self.num_parts
         cnt = self._cnt
         cnt[:] = self._zero_cnt
         spans = self._spans
         epins = self._epins
+        eweight = self._eweight
+        cut = 0
         for e in range(len(epins)):
             base = e * k
             for v in epins[e]:
@@ -266,6 +272,9 @@ class KWayFMRefiner:
                 if cnt[p]:
                     span += 1
             spans[e] = span
+            if span > 1:
+                cut += eweight[e]
+        return cut
 
     # ------------------------------------------------------------------
     def _progress_key(

@@ -161,11 +161,8 @@ class MultilevelBipartitioner:
 
         # Uncoarsen with FM refinement at every level.  levels[i] maps
         # between graphs[i] (fine) and levels[i].coarse; graphs[0] is the
-        # original hypergraph.  Projection preserves the cut exactly
-        # (contraction drops nets internal to a cluster and merges
-        # parallel nets by summing weights), so the cut is threaded
-        # through every level and cut_size() is never re-evaluated after
-        # the coarsest-level starts.
+        # original hypergraph.  Each FM run reads its starting cut off
+        # the pin counts it derives anyway.
         for i in range(len(levels) - 1, -1, -1):
             parts = levels[i].project(parts)
             fine_graph = levels[i - 1].coarse if i > 0 else self.graph
@@ -173,9 +170,7 @@ class MultilevelBipartitioner:
             with rec.span(
                 "refine", level=i, vertices=fine_graph.num_vertices
             ) as sp:
-                result = self._flat_engine(fine_graph, fine_fixture).run(
-                    parts, initial_cut=cut
-                )
+                result = self._flat_engine(fine_graph, fine_fixture).run(parts)
                 sp.set(cut=result.solution.cut)
             parts = result.solution.parts
             cut = result.solution.cut
@@ -184,7 +179,7 @@ class MultilevelBipartitioner:
         vcycles_run = 0
         for _ in range(self.config.vcycles):
             with rec.span("vcycle", index=vcycles_run) as sp:
-                parts, cut, extra = self._vcycle(parts, cut, rng)
+                parts, cut, extra = self._vcycle(parts, rng)
                 sp.set(cut=cut)
             passes += extra
             vcycles_run += 1
@@ -326,15 +321,14 @@ class MultilevelBipartitioner:
         return best_parts, best_cut, passes
 
     def _vcycle(
-        self, parts: List[int], cut: int, rng: random.Random
+        self, parts: List[int], rng: random.Random
     ) -> Tuple[List[int], int, int]:
         """One V-cycle: re-coarsen restricted to the current partition,
         refine back down, finish with a flat pass at the finest level.
 
         Returns (parts, cut, passes).  The guard keeps every cluster
-        inside one block, so both the upward projection onto the coarse
-        hierarchy and the downward ``project`` calls preserve the cut
-        exactly and it can be threaded through instead of recomputed.
+        inside one block, so ``parts`` projects exactly onto the coarse
+        hierarchy.
         """
         levels = self._build_hierarchy(rng, partition_guard=parts)
         coarse_parts = list(parts)
@@ -348,13 +342,10 @@ class MultilevelBipartitioner:
         current = coarse_parts
         for i in range(len(levels) - 1, -1, -1):
             engine = self._flat_engine(levels[i].coarse, levels[i].fixture)
-            result = engine.run(current, initial_cut=cut)
+            result = engine.run(current)
             passes += result.num_passes
-            cut = result.solution.cut
             current = levels[i].project(result.solution.parts)
-        final = self._flat_engine(self.graph, self.fixture).run(
-            current, initial_cut=cut
-        )
+        final = self._flat_engine(self.graph, self.fixture).run(current)
         passes += final.num_passes
         return list(final.solution.parts), final.solution.cut, passes
 

@@ -20,29 +20,31 @@ FREE = -1
 
 def cut_size(graph: Hypergraph, parts: Sequence[int]) -> int:
     """Weighted number of nets spanning more than one block."""
-    total = 0
+    net_weights = graph.net_weights
+    return sum(net_weights[e] for e in cut_nets(graph, parts))
+
+
+def cut_nets(graph: Hypergraph, parts: Sequence[int]) -> List[int]:
+    """Ids of nets spanning more than one block."""
+    # Reuse the CSR lists an engine has cached on the graph; otherwise
+    # take a one-off list copy, so a lone cut check caches nothing.
+    lists = graph._csr_lists
+    if lists is None:
+        buffers = graph.to_buffers()
+        net_ptr = buffers["net_ptr"].tolist()
+        net_pins = buffers["net_pins"].tolist()
+    else:
+        net_ptr, net_pins = lists[0], lists[1]
+    out = []
     for e in range(graph.num_nets):
-        pins = graph.net_pins(e)
+        pins = net_pins[net_ptr[e] : net_ptr[e + 1]]
         if not pins:
             continue
         first = parts[pins[0]]
         for v in pins:
             if parts[v] != first:
-                total += graph.net_weight(e)
+                out.append(e)
                 break
-    return total
-
-
-def cut_nets(graph: Hypergraph, parts: Sequence[int]) -> List[int]:
-    """Ids of nets spanning more than one block."""
-    out = []
-    for e in range(graph.num_nets):
-        pins = graph.net_pins(e)
-        if not pins:
-            continue
-        first = parts[pins[0]]
-        if any(parts[v] != first for v in pins):
-            out.append(e)
     return out
 
 

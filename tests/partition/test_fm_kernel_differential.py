@@ -23,7 +23,6 @@ from repro.partition import (
     KWayFMRefiner,
     ReferenceFMBipartitioner,
     ReferenceKWayFMRefiner,
-    cut_size,
     relative_balance,
     relative_bipartition_balance,
 )
@@ -141,9 +140,9 @@ def test_fm_kernel_matches_reference(policy, fraction, instance):
 @given(instance=kernel_instances())
 @settings(max_examples=30, deadline=None)
 def test_fm_kernel_engine_reuse_and_initial_cut(instance):
-    """A single kernel engine re-run over many starts (with and without
-    an explicit ``initial_cut``) matches a fresh reference every time --
-    the persistent buffers carry no state across runs."""
+    """A single kernel engine re-run over many starts matches a fresh
+    reference every time, including the starting cut it reads off its
+    pin counts -- the persistent buffers carry no state across runs."""
     graph, seed = instance
     rng = random.Random(seed)
     policy = rng.choice(["lifo", "fifo", "clip"])
@@ -153,12 +152,9 @@ def test_fm_kernel_engine_reuse_and_initial_cut(instance):
     reference = ReferenceFMBipartitioner(graph, balance, config=config)
     for trial in range(4):
         parts = [rng.randint(0, 1) for _ in range(graph.num_vertices)]
-        initial_cut = cut_size(graph, parts) if trial % 2 else None
         assert _fm_fingerprint(
             reference.run(list(parts))
-        ) == _fm_fingerprint(
-            kernel.run(list(parts), initial_cut=initial_cut)
-        )
+        ) == _fm_fingerprint(kernel.run(list(parts)))
 
 
 @pytest.mark.parametrize("fraction", FIXED_FRACTIONS)

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import shutil
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -120,6 +122,53 @@ class TestPartition:
             ]
         )
         assert rc == 0
+
+
+def _generate(out, seed, cells=80):
+    argv = ["generate", "--cells", str(cells), "--name", "clic",
+            "--seed", str(seed), "--out", str(out)]
+    assert main(argv) == 0
+
+
+def _partition_resume(directory, journal):
+    return main(
+        ["partition", "--dir", str(directory), "--name", "clic",
+         "--starts", "2", "--resume", str(journal)]
+    )
+
+
+class TestResume:
+    """``partition --resume`` is keyed by what the instance is."""
+
+    def test_regenerated_instance_refused(self, tmp_path, capsys):
+        journal = tmp_path / "starts.jsonl"
+        _generate(tmp_path / "inst", seed=1)
+        assert _partition_resume(tmp_path / "inst", journal) == 0
+        capsys.readouterr()
+        # Same path and name, different circuit: the journal must not
+        # be replayed onto it.
+        _generate(tmp_path / "inst", seed=2)
+        rc = _partition_resume(tmp_path / "inst", journal)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert "Traceback" not in captured.out + captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("repro: error: ")
+        assert "cut" not in captured.out
+
+    def test_moved_instance_resumes(self, tmp_path, capsys):
+        journal = tmp_path / "starts.jsonl"
+        _generate(tmp_path / "a", seed=1)
+        shutil.copytree(tmp_path / "a", tmp_path / "b")
+        capsys.readouterr()
+        assert _partition_resume(tmp_path / "a", journal) == 0
+        first = capsys.readouterr().out.splitlines()
+        assert _partition_resume(tmp_path / "b", journal) == 0
+        second = capsys.readouterr().out.splitlines()
+        # The cut and the block loads match; only the timings differ.
+        assert first[0].split(" with ")[0] == second[0].split(" with ")[0]
+        assert first[1] == second[1]
 
 
 class TestStats:
