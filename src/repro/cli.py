@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -74,18 +75,36 @@ def _default_jobs() -> int:
 
 def _timeout_arg(value: str) -> float:
     timeout = float(value)
-    if timeout <= 0:
+    if not 0 < timeout < math.inf:
         raise argparse.ArgumentTypeError(
-            f"must be positive seconds, got {timeout}"
+            f"must be positive finite seconds, got {timeout}"
         )
     return timeout
 
 
-def _retries_arg(value: str) -> int:
-    retries = int(value)
-    if retries < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {retries}")
-    return retries
+def _int_at_least(minimum: int):
+    """An argparse ``type=`` accepting integers no smaller than
+    ``minimum``."""
+
+    def parse(value: str) -> int:
+        number = int(value)
+        if number < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be >= {minimum}, got {number}"
+            )
+        return number
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
+def _cutoff_arg(value: str) -> float:
+    cutoff = float(value)
+    if not 0.0 < cutoff <= 1.0:
+        raise argparse.ArgumentTypeError(
+            f"must be in (0, 1], got {cutoff}"
+        )
+    return cutoff
 
 
 def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
@@ -101,7 +120,7 @@ def _add_runtime_args(parser: argparse.ArgumentParser) -> None:
              "on a fresh pool",
     )
     parser.add_argument(
-        "--max-retries", type=_retries_arg, default=None, metavar="N",
+        "--max-retries", type=_int_at_least(0), default=None, metavar="N",
         help="crash/timeout retries per item before it is quarantined "
              "as a null row (default 2 when --timeout is set)",
     )
@@ -136,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser(
         "generate", help="synthesize a circuit and write it to disk"
     )
-    gen.add_argument("--cells", type=int, default=1000)
+    gen.add_argument("--cells", type=_int_at_least(2), default=1000)
     gen.add_argument("--name", default="circuit")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True, help="output directory")
@@ -152,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     part.add_argument("--dir", required=True, help="instance directory")
     part.add_argument("--name", required=True, help="instance name")
     part.add_argument("--engine", choices=ENGINES, default="multilevel")
-    part.add_argument("--starts", type=int, default=1)
+    part.add_argument("--starts", type=_int_at_least(1), default=1)
     part.add_argument("--seed", type=int, default=0)
     part.add_argument(
         "--jobs", type=_jobs_arg, default=_default_jobs(),
@@ -161,12 +180,13 @@ def build_parser() -> argparse.ArgumentParser:
              "identical to --jobs 1)",
     )
     part.add_argument(
-        "--parts", type=int, default=None,
+        "--parts", type=_int_at_least(2), default=None,
         help="override block count (kway engine only)",
     )
     part.add_argument(
-        "--cutoff", type=float, default=1.0,
-        help="pass move-limit fraction (Section III heuristic)",
+        "--cutoff", type=_cutoff_arg, default=1.0,
+        help="pass move-limit fraction in (0, 1] (Section III "
+             "heuristic; fm engine only)",
     )
     part.add_argument(
         "--save", default=None,
@@ -178,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     place = sub.add_parser(
         "place", help="place a synthetic circuit and derive benchmarks"
     )
-    place.add_argument("--cells", type=int, default=800)
+    place.add_argument("--cells", type=_int_at_least(2), default=800)
     place.add_argument("--name", default="chip")
     place.add_argument("--seed", type=int, default=0)
     place.add_argument(

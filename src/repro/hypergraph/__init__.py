@@ -2,9 +2,6 @@
 
 from repro.hypergraph.builder import HypergraphBuilder
 from repro.hypergraph.contraction import Contraction, contract, normalize_clusters
-from repro.hypergraph.contraction_reference import (
-    contract as reference_contract,
-)
 from repro.hypergraph.generators import (
     CircuitSpec,
     SyntheticCircuit,
@@ -47,7 +44,6 @@ __all__ = [
     "normalize_clusters",
     "pins_per_cell",
     "random_k_uniform",
-    "reference_contract",
     "rent_exponent_estimate",
     "validate_hypergraph",
     "vertex_induced_subhypergraph",

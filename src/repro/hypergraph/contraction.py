@@ -23,12 +23,12 @@ builds both CSR directions itself with the same counting sort the
 validating constructor uses.
 
 The kernel's contract is strict: the coarse graph is **bit-identical**
-to the one produced by the retained reference implementation in
-:mod:`repro.hypergraph.contraction_reference` -- same net order (first
+to the one produced by the reference implementation retained as a
+test oracle in ``tests/oracles/contraction.py`` -- same net order (first
 occurrence of each distinct coarse pin set), same sorted pin lists, same
 summed integer weights, same float areas accumulated in the same order,
 same CSR buffers.  ``tests/partition/test_coarsening_differential.py``
-enforces this and ``benchmarks/coarsening.py`` measures the speedup.
+and the ``contraction`` gate of ``benchmarks/gates.py`` enforce this.
 
 ``coarse_to_fine`` is materialized lazily: the multilevel refinement
 path only ever reads ``fine_to_coarse`` (projection), so the member

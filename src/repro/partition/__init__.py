@@ -26,10 +26,6 @@ from repro.partition.fm import (
     FMResult,
     PassRecord,
 )
-from repro.partition.fm_reference import (
-    ReferenceFMBipartitioner,
-    ReferenceKWayFMRefiner,
-)
 from repro.partition.gainbucket import GainBucket
 from repro.partition.initial import (
     greedy_bfs_bipartition,
@@ -51,25 +47,10 @@ from repro.partition.matching import (
     heavy_edge_matching,
     random_matching,
 )
-from repro.partition.matching_reference import (
-    coarsen as reference_coarsen,
-)
-from repro.partition.matching_reference import (
-    heavy_edge_matching as reference_heavy_edge_matching,
-)
-from repro.partition.matching_reference import (
-    random_matching as reference_random_matching,
-)
 from repro.partition.multilevel import (
     MultilevelBipartitioner,
     MultilevelConfig,
     MultilevelResult,
-)
-from repro.partition.multiresource import (
-    MultiResourceFMBipartitioner,
-    MultiResourceFMConfig,
-    MultiResourceFMResult,
-    multi_resource_initial,
 )
 from repro.partition.multistart import (
     FlatFMStartTask,
@@ -141,16 +122,11 @@ __all__ = [
     "KWayFMResult",
     "KWayResult",
     "MultiBalanceConstraint",
-    "MultiResourceFMBipartitioner",
-    "MultiResourceFMConfig",
-    "MultiResourceFMResult",
     "MultilevelBipartitioner",
     "MultilevelConfig",
     "MultilevelResult",
     "MultistartResult",
     "PassRecord",
-    "ReferenceFMBipartitioner",
-    "ReferenceKWayFMRefiner",
     "StartOutcome",
     "absolute_balance",
     "annealing_baseline",
@@ -172,7 +148,6 @@ __all__ = [
     "min_cut_cost_model",
     "total_cost",
     "movable_vertices",
-    "multi_resource_initial",
     "multilevel_multistart",
     "pins_per_block",
     "random_balanced_bipartition",
@@ -180,9 +155,6 @@ __all__ = [
     "random_matching",
     "random_side_assignment",
     "recursive_bisection",
-    "reference_coarsen",
-    "reference_heavy_edge_matching",
-    "reference_random_matching",
     "relative_balance",
     "relative_bipartition_balance",
     "fiedler_vector",

@@ -43,10 +43,11 @@ per-vertex exact gains (``_gain``) -- plus one reusable
   bucket adjust needs no per-pin side test.
 
 The kernel preserves the *exact* move sequence of the straightforward
-implementation retained in :mod:`repro.partition.fm_reference`: same
-moves in the same order, same pass records, same cuts, bit for bit.
-``tests/partition/test_fm_kernel_differential.py`` enforces this and
-``benchmarks/fm_kernel.py`` measures the speedup.
+implementation retained as a test oracle in ``tests/oracles/fm.py``:
+same moves in the same order, same pass records, same cuts, bit for
+bit.  ``tests/partition/test_fm_kernel_differential.py`` and the
+``fm`` gate of ``benchmarks/gates.py`` enforce this; ``perfbench/``
+measures the speed.
 """
 
 from __future__ import annotations

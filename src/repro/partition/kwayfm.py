@@ -21,8 +21,8 @@ and a net-span buffer, derived once per :meth:`KWayFMRefiner.run` and
 kept exact across passes by the rollback (flip the undone suffix back,
 or restore a pass-start snapshot and flip the kept prefix forwards),
 plus one reusable :class:`GainBucket` reset per pass.  The move sequence
-is bit-identical to the straightforward engine retained in
-:mod:`repro.partition.fm_reference`.
+is bit-identical to the straightforward engine retained as a test
+oracle in ``tests/oracles/fm.py``.
 """
 
 from __future__ import annotations

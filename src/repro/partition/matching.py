@@ -45,15 +45,15 @@ fresh ``[base+1, base+n]`` window per call; the counter only ever
 grows, so stale stamps from earlier calls (or from the relabelling
 pass, which shares the counter) can never alias a live generation.
 
-The kernels preserve the retained reference implementations in
-:mod:`repro.partition.matching_reference` *bit for bit*: the same rng
+The kernels preserve the reference implementations retained as test
+oracles in ``tests/oracles/matching.py`` *bit for bit*: the same rng
 consumption (one ``shuffle`` plus, for the random matcher, one
 ``choice`` per matched vertex over an identically-ordered candidate
 list), the same float score accumulation order (dict insertion order in
 the reference equals first-encounter order here), and the same
-tie-breaks.  ``tests/partition/test_coarsening_differential.py``
-enforces label identity and ``benchmarks/coarsening.py`` measures the
-speedup.
+tie-breaks.  ``tests/partition/test_coarsening_differential.py`` and
+the ``matching`` gate of ``benchmarks/gates.py`` enforce label
+identity; ``perfbench/`` measures the speed.
 """
 
 from __future__ import annotations

@@ -254,8 +254,9 @@ class MultilevelBipartitioner:
         rng: random.Random,
         max_cluster_area: float,
     ) -> List[int]:
-        """One matching round (seam for benchmarks swapping in the
-        reference matchers)."""
+        """One matching round (seam for the reference-stack subclass in
+        ``tests/oracles/multilevel.py``, which swaps in the reference
+        matchers)."""
         if self.config.matching == "heavy":
             return heavy_edge_matching(
                 graph,
@@ -278,8 +279,9 @@ class MultilevelBipartitioner:
         fixture: Sequence[int],
         labels: Sequence[int],
     ) -> CoarseLevel:
-        """One contraction (seam for benchmarks swapping in the
-        reference contraction)."""
+        """One contraction (seam for the reference-stack subclass in
+        ``tests/oracles/multilevel.py``, which swaps in the reference
+        contraction)."""
         return coarsen(graph, fixture, labels)
 
     def _initial_partition(

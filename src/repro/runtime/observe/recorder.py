@@ -14,7 +14,7 @@ consults::
   context manager, and every other method is a ``pass`` -- the whole
   disabled path is one attribute read plus, on the coarse-grained call
   sites that do not branch, one no-op context manager.
-  ``benchmarks/observe_overhead.py`` bounds the cost.
+  The ``overhead`` gate of ``benchmarks/gates.py`` bounds the cost.
 * :class:`TraceRecorder` collects the real thing: a span stack per
   thread (``threading.local``), counters/histograms/roots behind one
   lock, so engine code running under a thread pool records safely.

@@ -2,8 +2,8 @@
 
 The kernel matchers (:mod:`repro.partition.matching`) and contraction
 (:mod:`repro.hypergraph.contraction`) promise *bit-identical* behaviour
-to the retained references in :mod:`repro.partition.matching_reference`
-and :mod:`repro.hypergraph.contraction_reference`: the same cluster
+to the retained references in :mod:`tests.oracles.matching` and
+:mod:`tests.oracles.contraction`: the same cluster
 labels for every seed, fixture, area cap and net-size cutoff (same rng
 consumption, same float score accumulation order, same tie-breaks), and
 the same coarse hypergraph down to the CSR buffers (same net order,
@@ -19,15 +19,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hypergraph import Hypergraph, contract, reference_contract
+from repro.hypergraph import Hypergraph, contract
 from repro.partition import (
     FREE,
     coarsen,
     heavy_edge_matching,
     random_matching,
-    reference_coarsen,
-    reference_heavy_edge_matching,
-    reference_random_matching,
+)
+from tests.oracles.contraction import contract as reference_contract
+from tests.oracles.fingerprints import graph_fingerprint as _graph_fingerprint
+from tests.oracles.matching import coarsen as reference_coarsen
+from tests.oracles.matching import (
+    heavy_edge_matching as reference_heavy_edge_matching,
+)
+from tests.oracles.matching import (
+    random_matching as reference_random_matching,
 )
 
 FIXED_FRACTIONS = (0.0, 0.2, 0.5)
@@ -36,20 +42,6 @@ MATCHERS = {
     "heavy": (heavy_edge_matching, reference_heavy_edge_matching),
     "random": (random_matching, reference_random_matching),
 }
-
-
-def _graph_fingerprint(graph):
-    """Every buffer of a Hypergraph, down to the CSR arrays."""
-    return (
-        graph.num_vertices,
-        graph.num_nets,
-        list(graph._net_ptr),
-        list(graph._net_pins),
-        list(graph._vtx_ptr),
-        list(graph._vtx_nets),
-        list(graph._net_weights),
-        list(graph._areas),
-    )
 
 
 @st.composite

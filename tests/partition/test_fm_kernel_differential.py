@@ -2,7 +2,7 @@
 
 The kernel engines (:mod:`repro.partition.fm`, :mod:`repro.partition.kwayfm`)
 promise *bit-identical* behaviour to the reference implementations in
-:mod:`repro.partition.fm_reference`: same pre-rollback move sequences,
+:mod:`tests.oracles.fm`: same pre-rollback move sequences,
 same pass records, same final cuts and parts, for every policy and any
 fixture.  These tests drive both sides over random instances and compare
 the full fingerprints.
@@ -21,36 +21,14 @@ from repro.partition import (
     FMConfig,
     KWayFMConfig,
     KWayFMRefiner,
-    ReferenceFMBipartitioner,
-    ReferenceKWayFMRefiner,
     relative_balance,
     relative_bipartition_balance,
 )
+from tests.oracles.fingerprints import fm_fingerprint as _fm_fingerprint
+from tests.oracles.fingerprints import kway_fingerprint as _kway_fingerprint
+from tests.oracles.fm import ReferenceFMBipartitioner, ReferenceKWayFMRefiner
 
 FIXED_FRACTIONS = (0.0, 0.2, 0.5)
-
-
-def _fm_fingerprint(result):
-    """Everything result-bearing in an FMResult."""
-    return (
-        result.initial_cut,
-        result.solution.cut,
-        tuple(result.solution.parts),
-        tuple(result.passes),
-        tuple(tuple(log) for log in result.move_logs),
-    )
-
-
-def _kway_fingerprint(result):
-    return (
-        result.initial_cut,
-        result.cut,
-        tuple(result.parts),
-        result.num_passes,
-        result.total_moves,
-        tuple(result.pass_moves),
-        tuple(tuple(log) for log in result.move_logs),
-    )
 
 
 @st.composite

@@ -1,13 +1,13 @@
 """Overhead-regression test: the disabled recorder must stay ~free.
 
-A fast in-suite version of ``benchmarks/observe_overhead.py`` (which
-measures the same contract on bigger instances and writes
-``BENCH_observe.json``): the public ``run()`` under the default null
+A fast in-suite version of the ``overhead`` gate of
+``benchmarks/gates.py`` (which checks the same contract on bigger
+instances): the public ``run()`` under the default null
 recorder must stay within a fixed wall-time ratio of the engine body
 called directly, and results must be bit-identical across
 uninstrumented, disabled and fully traced runs.
 
-The ratio bound is deliberately looser than the benchmark's (shared CI
+The ratio bound is deliberately looser than the gate's (shared CI
 runners; a ~50 ms workload) -- its job is to catch an accidental
 always-on allocation or lock on the hot path, which shows up as 2x+,
 not to certify the exact margin.

@@ -340,3 +340,40 @@ class TestBadInput:
         lines = captured.err.splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("repro: error: ")
+
+
+_PARTITION = ["partition", "--dir", "{dir}", "--name", "clic"]
+
+OUT_OF_RANGE_CASES = {
+    "--starts 0": _PARTITION + ["--starts", "0"],
+    "--starts -1": _PARTITION + ["--starts", "-1"],
+    "--parts 1": _PARTITION + ["--engine", "kway", "--parts", "1"],
+    "--parts 0": _PARTITION + ["--engine", "kway", "--parts", "0"],
+    "--cutoff 0": _PARTITION + ["--engine", "fm", "--cutoff", "0"],
+    "--cutoff 1.5": _PARTITION + ["--engine", "fm", "--cutoff", "1.5"],
+    "--cutoff -0.2": _PARTITION + ["--engine", "fm", "--cutoff", "-0.2"],
+    "--timeout inf": _PARTITION + ["--jobs", "2", "--timeout", "inf"],
+    "--timeout nan": _PARTITION + ["--jobs", "2", "--timeout", "nan"],
+    "generate --cells 0": [
+        "generate", "--cells", "0", "--out", "{tmp}/gen",
+    ],
+    "place --cells 0": ["place", "--cells", "0"],
+}
+
+
+class TestOutOfRangeFlags:
+    """Out-of-range numeric flags are usage errors (exit 2), caught by
+    the parser before any work starts."""
+
+    @pytest.mark.parametrize("case", sorted(OUT_OF_RANGE_CASES))
+    def test_usage_error_exit_2(self, case, generated, tmp_path, capsys):
+        argv = [
+            arg.format(dir=generated, tmp=tmp_path)
+            for arg in OUT_OF_RANGE_CASES[case]
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.out + captured.err
